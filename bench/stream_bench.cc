@@ -97,33 +97,20 @@ int main(int argc, char** argv) {
       [&] {
         trace::TraceFileReader source(v2_path, block_records);
         std::uint64_t n = 0;
-        for (auto chunk = source.NextChunk(); !chunk.empty();
-             chunk = source.NextChunk()) {
-          n += chunk.size();
+        for (const auto* block = source.NextBlock(); block != nullptr;
+             block = source.NextBlock()) {
+          n += block->size();
         }
         if (n != records) std::abort();  // corrupt bench artifact
       },
       rss_reset_ok);
 
-  // Full suite, streaming from disk through the per-record path (one AoS
-  // record per accumulator call) — the differential baseline.
-  const PhaseSample streamed = MeasurePhase(
-      records,
-      [&] {
-        trace::TraceFileReader source(v2_path, block_records);
-        analysis::AnalysisSuite suite(static_cast<trace::RecordSource&>(source),
-                                      registry, suite_config);
-        if (suite.sites().empty()) std::abort();
-      },
-      rss_reset_ok);
-
-  // Same suite on the SoA block path (the default streaming pipeline).
+  // Full suite, streaming SoA blocks from disk.
   const PhaseSample streamed_batch = MeasurePhase(
       records,
       [&] {
         trace::TraceFileReader source(v2_path, block_records);
-        analysis::AnalysisSuite suite(static_cast<trace::BlockSource&>(source),
-                                      registry, suite_config);
+        analysis::AnalysisSuite suite(source, registry, suite_config);
         if (suite.sites().empty()) std::abort();
       },
       rss_reset_ok);
@@ -144,10 +131,6 @@ int main(int argc, char** argv) {
   std::cout << "records: " << records << "\n"
             << "scan_v2:         " << static_cast<std::uint64_t>(scan.records_per_s)
             << " rec/s, peak RSS " << scan.peak_rss_bytes / 1024 / 1024 << " MB\n"
-            << "suite_stream:    "
-            << static_cast<std::uint64_t>(streamed.records_per_s)
-            << " rec/s, peak RSS " << streamed.peak_rss_bytes / 1024 / 1024
-            << " MB\n"
             << "suite_stream_batch: "
             << static_cast<std::uint64_t>(streamed_batch.records_per_s)
             << " rec/s, peak RSS " << streamed_batch.peak_rss_bytes / 1024 / 1024
@@ -178,7 +161,6 @@ int main(int argc, char** argv) {
       << ",\n  \"rss_reset_supported\": " << (rss_reset_ok ? "true" : "false")
       << ",\n  \"results\": {\n";
   AppendPhase(out, "scan_v2", scan);
-  AppendPhase(out, "suite_stream", streamed);
   AppendPhase(out, "suite_stream_batch", streamed_batch);
   AppendPhase(out, "suite_in_memory", in_memory, /*last=*/true);
   out << "  }\n}\n";

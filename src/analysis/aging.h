@@ -47,14 +47,13 @@ struct AgingResult {
 // non-decreasing timestamp order (throws std::invalid_argument otherwise):
 // with sorted input an object's first occurrence IS its earliest, so one
 // pass suffices where the random-access path needed two. The result is
-// input-order independent, so ComputeAging feeds a sorted permutation when
+// input-order independent, so ComputeAging feeds a time-sorted copy when
 // handed an unsorted buffer and matches the historical output exactly.
 class AgingAccumulator {
  public:
   explicit AgingAccumulator(std::size_t size_hint = 0);
-  void Add(const trace::LogRecord& r);
   // Rows rows[0..n) of b (all of [0, n) when rows is null), in stream
-  // order — equivalent to n Add() calls, including the sorted-input check.
+  // order; throws std::invalid_argument if they are not sorted by time.
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   AgingResult Finalize(const std::string& site_name);
@@ -63,8 +62,6 @@ class AgingAccumulator {
   void RestoreState(ckpt::Reader& r);
 
  private:
-  void AddOne(std::int64_t ts, std::uint64_t url);
-
   struct ObjectLife {
     std::int64_t first_seen = 0;
     // Bitmask of life-days (day 1 = bit 0) with at least one request.

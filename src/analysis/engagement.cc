@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "analysis/fold.h"
 #include "trace/content_class.h"
 
 namespace atlas::analysis {
@@ -11,16 +12,6 @@ EngagementAccumulator::EngagementAccumulator(double addicted_ratio,
                                              std::size_t size_hint)
     : addicted_ratio_(addicted_ratio) {
   pair_counts_.reserve(size_hint);
-}
-
-void EngagementAccumulator::Add(const trace::LogRecord& r) {
-  // A repeat (object, user) pair implies the object's class is already
-  // stored, so the common case is a single probe.
-  auto [slot, inserted] = pair_counts_.TryEmplace({r.url_hash, r.user_id});
-  ++*slot;
-  if (inserted) {
-    classes_.InsertIfAbsent(r.url_hash, trace::ClassOf(r.file_type));
-  }
 }
 
 void EngagementAccumulator::AddBatch(const trace::RecordBlock& b,
@@ -102,7 +93,7 @@ EngagementResult ComputeEngagement(const trace::TraceBuffer& trace,
                                    const std::string& site_name,
                                    double addicted_ratio) {
   EngagementAccumulator acc(addicted_ratio, trace.size());
-  for (const auto& r : trace.records()) acc.Add(r);
+  FoldTrace(trace, acc);
   return acc.Finalize(site_name);
 }
 

@@ -1,5 +1,6 @@
 #include "analysis/popularity.h"
 
+#include "analysis/fold.h"
 #include "trace/content_class.h"
 
 namespace atlas::analysis {
@@ -19,14 +20,6 @@ std::unordered_map<std::uint64_t, std::uint64_t> RequestCountsByObject(
 
 PopularityAccumulator::PopularityAccumulator(std::size_t size_hint) {
   counts_.reserve(size_hint / 4 + 1);
-}
-
-void PopularityAccumulator::Add(const trace::LogRecord& r) {
-  // One probe for the common repeat case: the class only needs storing the
-  // first time an object appears.
-  auto [slot, inserted] = counts_.TryEmplace(r.url_hash);
-  ++*slot;
-  if (inserted) classes_[r.url_hash] = trace::ClassOf(r.file_type);
 }
 
 void PopularityAccumulator::AddBatch(const trace::RecordBlock& b,
@@ -80,7 +73,7 @@ PopularityResult PopularityAccumulator::Finalize(
 PopularityResult ComputePopularity(const trace::TraceBuffer& trace,
                                    const std::string& site_name) {
   PopularityAccumulator acc(trace.size());
-  for (const auto& r : trace.records()) acc.Add(r);
+  FoldTrace(trace, acc);
   return acc.Finalize(site_name);
 }
 

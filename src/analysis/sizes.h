@@ -33,13 +33,12 @@ struct SizeDistributions {
 
 // Single-pass accumulator behind ComputeSizeDistributions. Keeps the size
 // and type of each object's first-seen record (by value — records are not
-// retained, so the input may be a transient stream chunk).
+// retained, so the input may be a transient stream block).
 class SizeDistributionsAccumulator {
  public:
   explicit SizeDistributionsAccumulator(std::size_t size_hint = 0);
-  void Add(const trace::LogRecord& r);
   // Rows rows[0..n) of b (all of [0, n) when rows is null), in stream
-  // order — equivalent to n Add() calls.
+  // order.
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   SizeDistributions Finalize(const std::string& site_name);

@@ -38,10 +38,9 @@ struct HourlyVolume {
 class HourlyVolumeAccumulator {
  public:
   HourlyVolumeAccumulator();
-  void Add(const trace::LogRecord& r);
   // Rows rows[0..n) of b (all of [0, n) when rows is null), in stream
-  // order. The float sums accumulate in exactly the per-record sequence so
-  // the result is bit-identical to n Add() calls.
+  // order. The float sums accumulate row by row, so the result depends
+  // only on the record order, never on how the stream was cut into blocks.
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   HourlyVolume Finalize(const std::string& site_name);

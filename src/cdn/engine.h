@@ -19,7 +19,10 @@
 // finalized shard streams are then k-way merged by
 // (timestamp, site, event, chunk) into the RecordSink, which reproduces
 // the legacy sequential simulator's stable time-sort byte for byte while
-// holding only one epoch of records in memory.
+// holding only one epoch of records in memory. Records leave the engine
+// one way only: as spans pushed into that sink (producers push records,
+// consumers pull blocks — see trace/block.h).
+//
 // Checkpointing: at an epoch barrier every record with a timestamp before
 // the boundary has already been merged into the sink and every cache/cursor
 // is quiescent, so a snapshot taken there is both crash-consistent and
@@ -39,7 +42,6 @@
 #include "cdn/simulator.h"
 #include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
 #include "synth/workload.h"
-#include "trace/block.h"
 #include "trace/sink.h"
 
 namespace atlas::cdn {
@@ -75,37 +77,14 @@ struct CheckpointOptions {
   ckpt::Reader* resume = nullptr;
 };
 
-// Runs every job through the sharded engine, streaming the merged,
+// Runs every job through the sharded engine, pushing the merged,
 // time-sorted record stream of all sites into `sink`, and returns one
 // counter accumulator per job (in job order). `threads <= 0` means
-// util::DefaultThreads().
-std::vector<SimulatorResult> RunSharded(std::span<const SiteJob> jobs,
-                                        const SimulatorConfig& config,
-                                        trace::RecordSink& sink,
-                                        int threads = 0);
-
-// As above, with checkpoint/restore armed per `ckpt_options`.
-std::vector<SimulatorResult> RunSharded(std::span<const SiteJob> jobs,
-                                        const SimulatorConfig& config,
-                                        trace::RecordSink& sink, int threads,
-                                        const CheckpointOptions& ckpt_options);
-
-// Block-sink variants: the merged stream leaves the engine as SoA
-// RecordBlocks (packed by a PerRecordSink adapter and flushed at the end of
-// the run). The record sequence is identical to the RecordSink overloads —
-// only the framing handed to `sink` differs, and BlockSink consumers must
-// not depend on block sizes.
-std::vector<SimulatorResult> RunSharded(std::span<const SiteJob> jobs,
-                                        const SimulatorConfig& config,
-                                        trace::BlockSink& sink,
-                                        int threads = 0);
-
-// With checkpointing, the packer also flushes inside every snapshot commit
-// so no already-merged record is buffered outside the captured state;
-// checkpoint cadence still never changes the record stream.
-std::vector<SimulatorResult> RunSharded(std::span<const SiteJob> jobs,
-                                        const SimulatorConfig& config,
-                                        trace::BlockSink& sink, int threads,
-                                        const CheckpointOptions& ckpt_options);
+// util::DefaultThreads(). Checkpoint/restore is armed per `ckpt_options`
+// (the default saves nothing and restores nothing).
+std::vector<SimulatorResult> RunSharded(
+    std::span<const SiteJob> jobs, const SimulatorConfig& config,
+    trace::RecordSink& sink, int threads = 0,
+    const CheckpointOptions& ckpt_options = {});
 
 }  // namespace atlas::cdn

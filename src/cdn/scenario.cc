@@ -83,8 +83,8 @@ Scenario::Scenario(std::vector<synth::SiteProfile> profiles,
     const std::uint64_t site_seed = seeder.Next();
     run.generator =
         std::make_unique<synth::WorkloadGenerator>(profile, site_seed);
-    events.push_back(
-        run.generator->Generate(LogicalBudget(*run.generator, profile, config)));
+    events.push_back(run.generator->Generate(
+        LogicalBudget(*run.generator, profile, config), threads));
     run.result.trace.Reserve(events.back().size() + events.back().size() / 2);
     runs_.push_back(std::move(run));
   }
@@ -110,9 +110,9 @@ Scenario Scenario::PaperStudy(double scale, const SimulatorConfig& config,
 
 void Scenario::StreamMerged(trace::RecordSink& sink) const {
   MergedTraceSource source(*this);
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    sink.Write(chunk);
+  for (auto records = source.MergeNext(); !records.empty();
+       records = source.MergeNext()) {
+    sink.Write(records);
   }
 }
 
@@ -130,7 +130,15 @@ MergedTraceSource::MergedTraceSource(const Scenario& scenario) {
   chunk_.reserve(trace::kDefaultBlockRecords);
 }
 
-std::span<const trace::LogRecord> MergedTraceSource::NextChunk() {
+const trace::RecordBlock* MergedTraceSource::NextBlock() {
+  const auto records = MergeNext();
+  if (records.empty()) return nullptr;
+  block_.clear();
+  block_.Append(records);
+  return &block_;
+}
+
+std::span<const trace::LogRecord> MergedTraceSource::MergeNext() {
   chunk_.clear();
   while (chunk_.size() < trace::kDefaultBlockRecords) {
     // Pick the earliest record; ties go to the lowest site index, matching
@@ -177,14 +185,6 @@ void MergedTraceSource::RestoreState(ckpt::Reader& r) {
 
 ScenarioStreamResult StreamScenario(std::vector<synth::SiteProfile> profiles,
                                     const SimulatorConfig& config,
-                                    std::uint64_t seed,
-                                    trace::RecordSink& sink, int threads) {
-  return StreamScenario(std::move(profiles), config, seed, sink, threads,
-                        CheckpointOptions{});
-}
-
-ScenarioStreamResult StreamScenario(std::vector<synth::SiteProfile> profiles,
-                                    const SimulatorConfig& config,
                                     std::uint64_t seed, trace::RecordSink& sink,
                                     int threads,
                                     const CheckpointOptions& ckpt_options) {
@@ -203,7 +203,7 @@ ScenarioStreamResult StreamScenario(std::vector<synth::SiteProfile> profiles,
     generators.push_back(
         std::make_unique<synth::WorkloadGenerator>(profile, site_seed));
     events.push_back(generators.back()->Generate(
-        LogicalBudget(*generators.back(), profile, config)));
+        LogicalBudget(*generators.back(), profile, config), threads));
     jobs.push_back({generators.back().get(), &events.back(), id});
   }
 

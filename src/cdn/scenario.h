@@ -5,9 +5,11 @@
 // with registry publisher ids, and exposes both the per-site results (with
 // ground-truth generators for closed-loop validation) and the merged,
 // time-sorted trace — the synthetic stand-in for the paper's week of CDN
-// logs. The merged trace is served as a stream (StreamMerged /
-// MergedTraceSource): the per-site buffers are k-way merged on the fly, so
-// no call site pays an O(total records) combined copy.
+// logs. The merged trace follows the pipeline's one rule — producers push
+// records, consumers pull blocks: StreamMerged pushes it into a
+// RecordSink, MergedTraceSource serves it as a BlockSource. Either way the
+// per-site buffers are k-way merged on the fly, so no call site pays an
+// O(total records) combined copy.
 //
 // StreamScenario is the fully out-of-core variant: the merged trace goes
 // straight into a RecordSink (e.g. a v2 TraceWriter) and is never
@@ -16,13 +18,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cdn/engine.h"
 #include "cdn/simulator.h"
 #include "synth/site_profile.h"
+#include "trace/block.h"
 #include "trace/publisher.h"
-#include "trace/stream.h"
 
 namespace atlas::cdn {
 
@@ -73,13 +76,13 @@ class Scenario {
 };
 
 // Pull-interface view of a scenario's merged trace: yields the k-way merge
-// of the per-site traces chunk by chunk, so AnalysisSuite and Replay-style
-// consumers read the merged stream through one chunk of memory. The
+// of the per-site traces block by block, so AnalysisSuite and Replay-style
+// consumers read the merged stream through one block of memory. The
 // scenario must outlive the source.
-class MergedTraceSource final : public trace::RecordSource {
+class MergedTraceSource final : public trace::BlockSource {
  public:
   explicit MergedTraceSource(const Scenario& scenario);
-  std::span<const trace::LogRecord> NextChunk() override;
+  const trace::RecordBlock* NextBlock() override;
 
   // Checkpoints the per-site merge cursors so a consumer can resume the
   // merged stream mid-way (records already handed out are not replayed).
@@ -88,12 +91,19 @@ class MergedTraceSource final : public trace::RecordSource {
   void RestoreState(ckpt::Reader& r);
 
  private:
+  friend class Scenario;  // StreamMerged pushes MergeNext() into a sink
+
+  // The next records of the merge (at most one block's worth), valid until
+  // the next call; empty at end of stream.
+  std::span<const trace::LogRecord> MergeNext();
+
   struct Cursor {
     const trace::TraceBuffer* buf;
     std::size_t pos = 0;
   };
   std::vector<Cursor> cursors_;
   std::vector<trace::LogRecord> chunk_;
+  trace::RecordBlock block_;
 };
 
 // Fully streaming scenario run: generates each profile, simulates all of
@@ -107,21 +117,17 @@ struct ScenarioStreamResult {
   SimulatorResult totals;
 };
 
-ScenarioStreamResult StreamScenario(std::vector<synth::SiteProfile> profiles,
-                                    const SimulatorConfig& config,
-                                    std::uint64_t seed,
-                                    trace::RecordSink& sink, int threads = 0);
-
-// As above, with checkpoint/restore armed. On top of the engine's own
-// sections, every snapshot carries a "scenario.meta" section (seed +
-// profile count, verified on resume) and one "synth.generator.<i>" section
-// per site with the generator's RNG position; the caller's save_extra (if
-// any) still runs last. `ckpt_options.resume` restores the scenario and
-// delegates engine state to RunSharded.
+// `threads` bounds both workload generation and the engine. With
+// checkpoint/restore armed, every snapshot carries, on top of the engine's
+// own sections, a "scenario.meta" section (seed + profile count, verified
+// on resume) and one "synth.generator.<i>" section per site with the
+// generator's RNG position; the caller's save_extra (if any) still runs
+// last. `ckpt_options.resume` restores the scenario and delegates engine
+// state to RunSharded.
 ScenarioStreamResult StreamScenario(std::vector<synth::SiteProfile> profiles,
                                     const SimulatorConfig& config,
                                     std::uint64_t seed, trace::RecordSink& sink,
-                                    int threads,
-                                    const CheckpointOptions& ckpt_options);
+                                    int threads = 0,
+                                    const CheckpointOptions& ckpt_options = {});
 
 }  // namespace atlas::cdn

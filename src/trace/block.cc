@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "trace/stream.h"
 #include "trace/wire_format.h"
 
 namespace atlas::trace {
@@ -52,23 +51,21 @@ LogRecord RecordBlock::Row(std::size_t i) const {
   return r;
 }
 
-void RecordBlock::PushBack(const LogRecord& r) {
-  timestamp_ms.push_back(r.timestamp_ms);
-  url_hash.push_back(r.url_hash);
-  user_id.push_back(r.user_id);
-  object_size.push_back(r.object_size);
-  response_bytes.push_back(r.response_bytes);
-  publisher_id.push_back(r.publisher_id);
-  user_agent_id.push_back(r.user_agent_id);
-  response_code.push_back(r.response_code);
-  file_type.push_back(r.file_type);
-  cache_status.push_back(r.cache_status);
-  tz_offset_quarter_hours.push_back(r.tz_offset_quarter_hours);
-}
-
 void RecordBlock::Append(std::span<const LogRecord> records) {
   reserve(size() + records.size());
-  for (const auto& r : records) PushBack(r);
+  for (const auto& r : records) {
+    timestamp_ms.push_back(r.timestamp_ms);
+    url_hash.push_back(r.url_hash);
+    user_id.push_back(r.user_id);
+    object_size.push_back(r.object_size);
+    response_bytes.push_back(r.response_bytes);
+    publisher_id.push_back(r.publisher_id);
+    user_agent_id.push_back(r.user_agent_id);
+    response_code.push_back(r.response_code);
+    file_type.push_back(r.file_type);
+    cache_status.push_back(r.cache_status);
+    tz_offset_quarter_hours.push_back(r.tz_offset_quarter_hours);
+  }
 }
 
 namespace {
@@ -152,82 +149,6 @@ const RecordBlock* BufferBlockSource::NextBlock() {
   block_.Append({records.data() + pos_, n});
   pos_ += n;
   return &block_;
-}
-
-ChunkBlockSource::ChunkBlockSource(RecordSource& source,
-                                   std::size_t block_records)
-    : source_(source),
-      block_records_(std::max<std::size_t>(1, block_records)) {}
-
-const RecordBlock* ChunkBlockSource::NextBlock() {
-  block_.clear();
-  while (block_.size() < block_records_) {
-    if (pending_.empty()) {
-      if (done_) break;
-      pending_ = source_.NextChunk();
-      if (pending_.empty()) {
-        done_ = true;
-        break;
-      }
-    }
-    const std::size_t take =
-        std::min(pending_.size(), block_records_ - block_.size());
-    block_.Append(pending_.first(take));
-    pending_ = pending_.subspan(take);
-  }
-  return block_.empty() ? nullptr : &block_;
-}
-
-void BlockBufferSink::WriteBlock(const RecordBlock& block) {
-  out_->Reserve(out_->size() + block.size());
-  for (std::size_t i = 0; i < block.size(); ++i) out_->Add(block.Row(i));
-}
-
-void BlockCountingSink::WriteBlock(const RecordBlock& block) {
-  records_ += block.size();
-  std::uint64_t bytes = 0;
-  for (const std::uint64_t b : block.response_bytes) bytes += b;
-  response_bytes_ += bytes;
-}
-
-const LogRecord* PerRecordSource::NextRecord() {
-  if (done_) return nullptr;
-  if (current_ == nullptr || row_ >= current_->size()) {
-    current_ = blocks_->NextBlock();
-    row_ = 0;
-    if (current_ == nullptr || current_->empty()) {
-      done_ = true;
-      return nullptr;
-    }
-  }
-  scratch_ = current_->Row(row_++);
-  return &scratch_;
-}
-
-PerRecordSink::PerRecordSink(BlockSink& sink, std::size_t block_records)
-    : sink_(&sink), block_records_(std::max<std::size_t>(1, block_records)) {
-  block_.reserve(block_records_);
-}
-
-void PerRecordSink::PushRecord(const LogRecord& r) {
-  block_.PushBack(r);
-  if (block_.size() == block_records_) Flush();
-}
-
-void PerRecordSink::Write(std::span<const LogRecord> records) {
-  while (!records.empty()) {
-    const std::size_t take =
-        std::min(records.size(), block_records_ - block_.size());
-    block_.Append(records.first(take));
-    records = records.subspan(take);
-    if (block_.size() == block_records_) Flush();
-  }
-}
-
-void PerRecordSink::Flush() {
-  if (block_.empty()) return;
-  sink_->WriteBlock(block_);
-  block_.clear();
 }
 
 }  // namespace atlas::trace

@@ -1,7 +1,8 @@
 // RecordSink: the push half of the streaming trace pipeline.
 //
-// RecordSource (stream.h) is how consumers *pull* records out of a trace;
-// RecordSink is how producers *push* them in. The CDN simulation engine
+// Producers push records, consumers pull blocks: RecordSink is how a
+// producer hands over spans of LogRecords, and BlockSource (block.h) is
+// how a consumer reads RecordBlocks back out. The CDN simulation engine
 // emits its merged, time-sorted record stream into a RecordSink, so the
 // same run can fill an in-memory TraceBuffer (BufferSink), stream straight
 // to a v2 block file through one block of memory (WriterSink), or just be

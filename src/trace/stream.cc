@@ -44,19 +44,6 @@ bool TryReadLe(std::istream& in, T* value) {
 
 }  // namespace
 
-BufferSource::BufferSource(const TraceBuffer& buffer,
-                           std::size_t chunk_records)
-    : buffer_(buffer), chunk_records_(std::max<std::size_t>(1, chunk_records)) {}
-
-std::span<const LogRecord> BufferSource::NextChunk() {
-  const auto& records = buffer_.records();
-  if (pos_ >= records.size()) return {};
-  const std::size_t n = std::min(chunk_records_, records.size() - pos_);
-  std::span<const LogRecord> chunk(records.data() + pos_, n);
-  pos_ += n;
-  return chunk;
-}
-
 TraceWriter::TraceWriter(std::ostream& out, std::size_t block_records)
     : out_(out),
       block_records_(
@@ -315,11 +302,6 @@ std::optional<std::uint64_t> TraceReader::declared_count() const {
   return header_count_;
 }
 
-std::span<const LogRecord> TraceReader::NextChunk() {
-  if (done_) return {};
-  return version_ == 1 ? NextChunkV1() : NextChunkV2();
-}
-
 std::size_t TraceReader::ReadRawV1() {
   const std::uint64_t remaining = header_count_ - records_read_;
   if (remaining == 0) {
@@ -375,26 +357,6 @@ std::uint32_t TraceReader::ReadRawV2() {
   return nrec;
 }
 
-std::span<const LogRecord> TraceReader::NextChunkV1() {
-  const std::size_t n = ReadRawV1();
-  if (n == 0) return {};
-  records_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    records_[i] = wire::DecodeRecord(raw_.data() + i * wire::kRecordWireSize);
-  }
-  return {records_.data(), n};
-}
-
-std::span<const LogRecord> TraceReader::NextChunkV2() {
-  const std::uint32_t nrec = ReadRawV2();
-  if (nrec == 0) return {};
-  records_.resize(nrec);
-  for (std::size_t i = 0; i < nrec; ++i) {
-    records_[i] = wire::DecodeRecord(raw_.data() + i * wire::kRecordWireSize);
-  }
-  return {records_.data(), records_.size()};
-}
-
 const RecordBlock* TraceReader::NextBlock() {
   if (done_) return nullptr;
   const std::size_t n = version_ == 1 ? ReadRawV1() : ReadRawV2();
@@ -430,11 +392,11 @@ void WriteV2File(const TraceBuffer& trace, const std::string& path,
   if (out.fail()) throw std::runtime_error("trace_io: close failed: " + path);
 }
 
-TraceBuffer ReadAllRecords(RecordSource& source) {
+TraceBuffer ReadAllRecords(BlockSource& source) {
   TraceBuffer trace;
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    for (const auto& r : chunk) trace.Add(r);
+  for (const auto* block = source.NextBlock(); block != nullptr;
+       block = source.NextBlock()) {
+    for (std::size_t i = 0; i < block->size(); ++i) trace.Add(block->Row(i));
   }
   return trace;
 }

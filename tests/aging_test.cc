@@ -60,6 +60,23 @@ TEST(AgingTest, EmptyTraceSafe) {
 
 // Closed loop (Fig. 7): fraction requested declines with age; a sizeable
 // share of objects goes silent after day 3.
+TEST(AgingTest, UnsortedTraceMatchesSortedTrace) {
+  // An unsorted buffer is folded through a time-sorted copy; every field
+  // must match the already-sorted trace's.
+  const trace::TraceBuffer sorted = testing::SortedMultiUserTrace();
+  const trace::TraceBuffer shuffled = testing::Shuffled(sorted);
+  ASSERT_FALSE(shuffled.IsSortedByTime());
+  const auto want = ComputeAging(sorted, "X");
+  const auto got = ComputeAging(shuffled, "X");
+  EXPECT_GT(want.observable_objects[0], 0u);
+  EXPECT_EQ(got.fraction_requested, want.fraction_requested);
+  EXPECT_EQ(got.fraction_requested_uncorrected,
+            want.fraction_requested_uncorrected);
+  EXPECT_EQ(got.observable_objects, want.observable_objects);
+  EXPECT_EQ(got.requested_all_days, want.requested_all_days);
+  EXPECT_EQ(got.silent_after_3_days, want.silent_after_3_days);
+}
+
 TEST(AgingClosedLoopTest, DecliningShape) {
   cdn::SimulatorConfig config;
   const auto sim = cdn::SimulateSite(synth::SiteProfile::V2(0.02), 0, config, 7);

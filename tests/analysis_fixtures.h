@@ -2,9 +2,11 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "trace/record.h"
 #include "trace/trace_buffer.h"
+#include "util/rng.h"
 #include "util/time.h"
 
 namespace atlas::analysis::testing {
@@ -37,6 +39,34 @@ inline trace::LogRecord MakeRecord(const RecordSpec& spec) {
   r.user_agent_id = spec.ua;
   r.publisher_id = spec.pub;
   return r;
+}
+
+// A small time-sorted trace: 8 users requesting 20 objects at random
+// minutes across a week. Minute granularity makes equal timestamps common,
+// so stable ordering of ties is exercised too.
+inline trace::TraceBuffer SortedMultiUserTrace(std::size_t n = 600) {
+  util::Rng rng(23);
+  trace::TraceBuffer buf;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto minute = static_cast<std::int64_t>(
+        rng.NextBounded(static_cast<std::uint64_t>(util::kMillisPerWeek /
+                                                   util::kMillisPerMinute)));
+    buf.Add(MakeRecord({.t = minute * util::kMillisPerMinute,
+                        .url = 1 + rng.NextBounded(20),
+                        .user = 1 + rng.NextBounded(8)}));
+  }
+  buf.SortByTime();
+  return buf;
+}
+
+// The records of `sorted` in a deterministic shuffled order.
+inline trace::TraceBuffer Shuffled(const trace::TraceBuffer& sorted) {
+  std::vector<trace::LogRecord> records = sorted.records();
+  util::Rng rng(29);
+  rng.Shuffle(records);
+  trace::TraceBuffer buf;
+  for (const auto& r : records) buf.Add(r);
+  return buf;
 }
 
 }  // namespace atlas::analysis::testing

@@ -193,81 +193,11 @@ TEST(KillResumeTest, ResumeWithDifferentConfigFailsClearly) {
   std::remove(ckpt_path.c_str());
 }
 
-// The analysis-side half of the property: interrupting a streaming analysis
-// pass, checkpointing it, and restoring into a fresh StreamingAnalysis must
-// render a report character-identical to an uninterrupted pass.
-TEST(KillResumeTest, StreamingAnalysisSaveRestoreReproducesReport) {
-  util::SetLogLevel(util::LogLevel::kWarn);
-  const cdn::Scenario scenario(synth::SiteProfile::PaperAdultSites(0.004),
-                               GoldenConfig(), 11, 2);
-  const trace::TraceBuffer merged = testutil::MaterializeMerged(scenario);
-  ASSERT_GT(merged.size(), 1000u);
-
-  analysis::SuiteConfig config;
-  config.threads = 2;
-
-  // Uninterrupted pass.
-  std::string golden_report;
-  {
-    trace::BufferSource source(merged);
-    analysis::AnalysisSuite suite(source, scenario.registry(), config);
-    std::ostringstream out;
-    suite.Render(out);
-    golden_report = out.str();
-  }
-
-  // Interrupted pass: consume half, checkpoint, restore into a fresh
-  // analysis, feed the rest from the cursor onward.
-  const std::string ckpt_path = ::testing::TempDir() + "/atlas_kr_suite.ckpt";
-  {
-    analysis::StreamingAnalysis first(scenario.registry(), config);
-    trace::BufferSource source(merged);
-    const std::uint64_t half = merged.size() / 2;
-    for (auto chunk = source.NextChunk();
-         !chunk.empty() && first.records_consumed() < half;
-         chunk = source.NextChunk()) {
-      first.AddChunk(chunk);
-    }
-    ckpt::WriteCheckpointFile(ckpt_path, [&](ckpt::Writer& w) {
-      w.BeginSection("analysis.suite", 1);
-      first.SaveState(w);
-      w.EndSection();
-    });
-  }
-  analysis::StreamingAnalysis second(scenario.registry(), config);
-  {
-    auto snapshot = ckpt::ReadCheckpointFile(ckpt_path);
-    snapshot.BeginSection("analysis.suite", 1);
-    second.RestoreState(snapshot);
-    snapshot.EndSection();
-  }
-  std::uint64_t skip = second.records_consumed();
-  EXPECT_GT(skip, 0u);
-  {
-    trace::BufferSource source(merged);
-    for (auto chunk = source.NextChunk(); !chunk.empty();
-         chunk = source.NextChunk()) {
-      auto rest = chunk;
-      if (skip > 0) {
-        const auto drop = std::min<std::uint64_t>(skip, rest.size());
-        rest = rest.subspan(static_cast<std::size_t>(drop));
-        skip -= drop;
-      }
-      if (!rest.empty()) second.AddChunk(rest);
-    }
-  }
-  EXPECT_EQ(second.records_consumed(), merged.size());
-  analysis::AnalysisSuite resumed_suite(second.Finalize());
-  std::ostringstream out;
-  resumed_suite.Render(out);
-  EXPECT_EQ(out.str(), golden_report);
-  std::remove(ckpt_path.c_str());
-}
-
-// Same property on the SoA batch path: consume blocks, checkpoint, restore
-// into a fresh analysis, and resume with a *different* block size so the
-// cursor lands mid-block — AddBlock's first_row skip must consume exactly
-// the unseen suffix. The resumed report must be character-identical.
+// The analysis-side half of the property: consume blocks, checkpoint,
+// restore into a fresh analysis, and resume with a *different* block size
+// so the cursor lands mid-block — AddBlock's first_row skip must consume
+// exactly the unseen suffix. The resumed report must be
+// character-identical to an uninterrupted pass.
 TEST(KillResumeTest, BatchStreamingAnalysisSaveRestoreReproducesReport) {
   util::SetLogLevel(util::LogLevel::kWarn);
   const cdn::Scenario scenario(synth::SiteProfile::PaperAdultSites(0.004),
@@ -335,55 +265,6 @@ TEST(KillResumeTest, BatchStreamingAnalysisSaveRestoreReproducesReport) {
   std::ostringstream out;
   resumed_suite.Render(out);
   EXPECT_EQ(out.str(), golden_report);
-  std::remove(ckpt_path.c_str());
-}
-
-// The simulator-side batch path: the engine streams its merged trace
-// through the SoA packer into the v2 writer, checkpoints every epoch,
-// "dies", tears the tail, and resumes — the recovered file must reproduce
-// the golden bytes exactly. The packer flushes inside the snapshot commit,
-// so no merged record is ever buffered outside the captured state.
-TEST(KillResumeTest, BlockSinkRunResumesToGoldenBytes) {
-  util::SetLogLevel(util::LogLevel::kWarn);
-  const std::string path = ::testing::TempDir() + "/atlas_kr_batch.v2";
-  const std::string ckpt_path = ::testing::TempDir() + "/atlas_kr_batch.ckpt";
-  constexpr int kThreads = 2;
-  constexpr std::uint64_t kKill = 60;
-
-  {
-    std::ofstream out(path, std::ios::binary);
-    trace::TraceWriter writer(out);
-    trace::WriterBlockSink block_sink(writer);
-    trace::PerRecordSink packer(block_sink);
-    cdn::CheckpointOptions opts;
-    opts.every_epochs = 1;
-    opts.path = ckpt_path;
-    opts.save_extra = [&](ckpt::Writer& w) {
-      packer.Flush();  // every merged record reaches the writer's state
-      writer.SaveState(w);
-    };
-    opts.after_save = [](std::uint64_t done) { return done < kKill; };
-    cdn::StreamScenario(synth::SiteProfile::PaperAdultSites(0.01),
-                        GoldenConfig(), 42, packer, kThreads, opts);
-  }
-  std::ofstream torn(path, std::ios::binary | std::ios::app);
-  torn << "TORN-TAIL-GARBAGE";
-  torn.close();
-
-  auto snapshot = ckpt::ReadCheckpointFile(ckpt_path);
-  trace::ResumedTraceFile resumed(path, snapshot);
-  trace::WriterBlockSink block_sink(resumed.writer());
-  trace::PerRecordSink packer(block_sink);
-  cdn::CheckpointOptions opts;
-  opts.resume = &snapshot;
-  cdn::StreamScenario(synth::SiteProfile::PaperAdultSites(0.01),
-                      GoldenConfig(), 42, packer, kThreads, opts);
-  packer.Flush();
-  resumed.writer().Finish();
-  EXPECT_EQ(resumed.writer().written(), kGoldenRecords);
-  EXPECT_EQ(util::Fnv1a64(ReadFileBytes(path)), kGoldenV2Digest);
-
-  std::remove(path.c_str());
   std::remove(ckpt_path.c_str());
 }
 

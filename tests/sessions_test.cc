@@ -97,6 +97,24 @@ TEST(ComputeSessionsTest, RequestsPerSessionDistribution) {
   EXPECT_DOUBLE_EQ(result.requests_per_session.Mean(), 1.5);
 }
 
+TEST(ComputeSessionsTest, UnsortedTraceMatchesSortedTrace) {
+  // An unsorted buffer is folded through a time-sorted copy; every Ecdf
+  // sample and count must match the already-sorted trace's.
+  const trace::TraceBuffer sorted = testing::SortedMultiUserTrace();
+  const trace::TraceBuffer shuffled = testing::Shuffled(sorted);
+  ASSERT_FALSE(shuffled.IsSortedByTime());
+  const auto want = ComputeSessions(sorted, "X");
+  const auto got = ComputeSessions(shuffled, "X");
+  EXPECT_GT(want.iat_seconds.count(), 0u);
+  EXPECT_EQ(got.iat_seconds.sorted_samples(),
+            want.iat_seconds.sorted_samples());
+  EXPECT_EQ(got.session_length_seconds.sorted_samples(),
+            want.session_length_seconds.sorted_samples());
+  EXPECT_EQ(got.requests_per_session.sorted_samples(),
+            want.requests_per_session.sorted_samples());
+  EXPECT_EQ(got.session_count, want.session_count);
+}
+
 // Closed loop (Figs. 11-12): video sites have much shorter IATs than image
 // sites, and their sessions last on the order of a minute.
 TEST(SessionsClosedLoopTest, VideoShorterIatThanImage) {

@@ -57,22 +57,6 @@ TraceBuffer Drain(const std::string& data,
   return ReadAllRecords(reader);
 }
 
-// As Drain, but through the SoA block path (TraceReader::NextBlock): the
-// batch pipeline must reject corrupt input exactly as loudly as the
-// per-record one — never a short silent read.
-TraceBuffer DrainBlocks(const std::string& data,
-                        std::size_t chunk_records = kDefaultBlockRecords) {
-  std::stringstream in(data);
-  TraceReader reader(in, chunk_records);
-  TraceBuffer out;
-  BlockBufferSink sink(out);
-  for (const auto* block = reader.NextBlock(); block != nullptr;
-       block = reader.NextBlock()) {
-    sink.WriteBlock(*block);
-  }
-  return out;
-}
-
 // v2 layout offsets (see stream.h): 4 magic + 4 version + 8 count.
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kCountOffset = 8;
@@ -268,14 +252,13 @@ TEST(StreamCorruptionTest, TrailerMismatchRejected) {
   EXPECT_THROW(Drain(data), std::runtime_error);
 }
 
-// The same corpus through the SoA decode path. `NextBlock` decodes a whole
-// CRC block into columns at once, so its failure behavior is proven
-// separately from the per-record cursor.
+// `NextBlock` decodes a whole CRC block into columns at once: a defect
+// anywhere in the block must fail the block, never yield part of it.
 
 TEST(StreamCorruptionTest, BatchTruncationMidBlockRejected) {
   std::string data = SerializeV2(MakeSampleTrace(100));
   data.resize(kHeaderBytes + kBlockHeaderBytes + 17);
-  EXPECT_THROW(DrainBlocks(data), std::runtime_error);
+  EXPECT_THROW(Drain(data), std::runtime_error);
 }
 
 TEST(StreamCorruptionTest, BatchBlockCountPayloadDisagreementRejected) {
@@ -283,7 +266,7 @@ TEST(StreamCorruptionTest, BatchBlockCountPayloadDisagreementRejected) {
   // refuse the block, not decode nine records and drop one.
   std::string data = SerializeV2(MakeSampleTrace(10));
   PatchU32(data, kHeaderBytes, 9);
-  EXPECT_THROW(DrainBlocks(data), std::runtime_error);
+  EXPECT_THROW(Drain(data), std::runtime_error);
 }
 
 TEST(StreamCorruptionTest, BatchZeroRecordTrailingBlockRejected) {
@@ -294,51 +277,13 @@ TEST(StreamCorruptionTest, BatchZeroRecordTrailingBlockRejected) {
   std::string forged(kBlockHeaderBytes, '\0');
   PatchU32(forged, 8, 0xDEADBEEFu);
   data.insert(data.size() - (kBlockHeaderBytes + 8), forged);
-  EXPECT_THROW(DrainBlocks(data), std::runtime_error);
+  EXPECT_THROW(Drain(data), std::runtime_error);
 }
 
 TEST(StreamCorruptionTest, BatchPayloadBitFlipFailsCrc) {
   std::string data = SerializeV2(MakeSampleTrace(10));
   data[kHeaderBytes + kBlockHeaderBytes + 5] ^= 0x01;
-  EXPECT_THROW(DrainBlocks(data), std::runtime_error);
-}
-
-// --- Block adapters round-trip ------------------------------------------------
-
-TEST(BlockAdapterTest, BlockAndRecordViewsAgree) {
-  const TraceBuffer original = MakeSampleTrace(300);
-  // Buffer -> blocks -> per-record adapter: same records in order.
-  BufferBlockSource blocks(original, /*block_records=*/64);
-  PerRecordSource records(blocks);
-  std::size_t i = 0;
-  for (const auto* r = records.NextRecord(); r != nullptr;
-       r = records.NextRecord()) {
-    ASSERT_LT(i, original.size());
-    EXPECT_EQ(*r, original[i]) << "record " << i;
-    ++i;
-  }
-  EXPECT_EQ(i, original.size());
-}
-
-TEST(BlockAdapterTest, ChunkSourceRepacksIntoBlocks) {
-  const TraceBuffer original = MakeSampleTrace(100);
-  // Record stream -> SoA blocks (ragged final block) -> buffer.
-  BufferSource records(original);
-  ChunkBlockSource blocks(records, /*block_records=*/7);
-  TraceBuffer out;
-  BlockBufferSink sink(out);
-  std::size_t block_count = 0;
-  for (const auto* b = blocks.NextBlock(); b != nullptr;
-       b = blocks.NextBlock()) {
-    EXPECT_LE(b->size(), 7u);
-    sink.WriteBlock(*b);
-    ++block_count;
-  }
-  EXPECT_EQ(block_count, (100 + 6) / 7);
-  ASSERT_EQ(out.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(out[i], original[i]) << "record " << i;
-  }
+  EXPECT_THROW(Drain(data), std::runtime_error);
 }
 
 // --- Streaming suite equivalence ---------------------------------------------
@@ -371,10 +316,8 @@ TEST(StreamingSuiteTest, ReportByteIdenticalToInMemoryAtAnyThreadCount) {
     analysis::AnalysisSuite in_memory(merged, scenario.registry(),
                                       suite_config);
     TraceFileReader source(path);
-    // Per-record path, explicitly: the in-memory suite runs the block path,
-    // so this comparison also pins batch == per-record.
-    analysis::AnalysisSuite streamed(static_cast<RecordSource&>(source),
-                                     scenario.registry(), suite_config);
+    analysis::AnalysisSuite streamed(source, scenario.registry(),
+                                     suite_config);
     const std::string mem_report = RenderedReport(in_memory);
     const std::string stream_report = RenderedReport(streamed);
     EXPECT_EQ(mem_report, stream_report) << "threads=" << threads;
@@ -431,17 +374,18 @@ void WriteBigSyntheticTrace(const std::string& path, std::uint32_t pub) {
   writer.Finish();
 }
 
-// Streams `path` through the full AnalysisSuite on `source_kind` ("record"
-// or "block") and asserts peak RSS growth stays under the budget.
-void ExpectSuiteStreamsUnderBudget(const std::string& source_kind) {
+// Streams a big trace file through the full AnalysisSuite and asserts peak
+// RSS growth stays under the budget. The suite holds one decoded
+// RecordBlock at a time; it must not re-buffer the trace (e.g. by
+// accumulating blocks in the demultiplexer).
+TEST(StreamMemoryTest, BatchSuiteStreamsLargeTraceUnderBlockBudget) {
   if (UnderSanitizer()) {
     GTEST_SKIP() << "RSS not meaningful under sanitizer instrumentation";
   }
   PublisherRegistry registry;
   const std::uint32_t pub = registry.Register("T-1", SiteKind::kAdultVideo);
 
-  const std::string path =
-      ::testing::TempDir() + "/atlas_big_stream_" + source_kind + ".v2";
+  const std::string path = ::testing::TempDir() + "/atlas_big_stream.v2";
   WriteBigSyntheticTrace(path, pub);
 
   if (!util::ResetPeakRss()) {
@@ -454,12 +398,7 @@ void ExpectSuiteStreamsUnderBudget(const std::string& source_kind) {
     suite_config.run_trend_clusters = false;
     suite_config.threads = 1;
     TraceFileReader source(path);
-    auto suite = source_kind == "block"
-                     ? analysis::AnalysisSuite(static_cast<BlockSource&>(source),
-                                               registry, suite_config)
-                     : analysis::AnalysisSuite(
-                           static_cast<RecordSource&>(source), registry,
-                           suite_config);
+    analysis::AnalysisSuite suite(source, registry, suite_config);
     ASSERT_EQ(suite.sites().size(), 1u);
     EXPECT_EQ(suite.sites()[0].summary.records, kBigTraceRecords);
   }
@@ -468,19 +407,8 @@ void ExpectSuiteStreamsUnderBudget(const std::string& source_kind) {
 
   ASSERT_GE(peak, baseline);
   EXPECT_LT(peak - baseline, kStreamBudgetBytes)
-      << "streaming suite (" << source_kind
-      << " path) exceeded its memory budget (grew "
+      << "streaming suite exceeded its memory budget (grew "
       << (peak - baseline) / (1 << 20) << " MB)";
-}
-
-TEST(StreamMemoryTest, SuiteStreamsLargeTraceUnderBlockBudget) {
-  ExpectSuiteStreamsUnderBudget("record");
-}
-
-TEST(StreamMemoryTest, BatchSuiteStreamsLargeTraceUnderBlockBudget) {
-  // The SoA path holds one decoded RecordBlock at a time; it must not
-  // re-buffer the trace (e.g. by accumulating blocks in the demultiplexer).
-  ExpectSuiteStreamsUnderBudget("block");
 }
 
 // A sink that accepts `capacity` bytes, then fails every write — the

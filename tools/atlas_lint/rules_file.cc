@@ -371,7 +371,8 @@ void FileRules::CheckPerRecordInHotPath() {
       !StartsWith(path(), "src/cdn/")) {
     return;
   }
-  // A member call on the one-record-at-a-time adapters from trace/block.h.
+  // A member call on a one-record-at-a-time adapter (NextRecord pulls one
+  // record off a block stream, PushRecord packs one into a block).
   // Requiring `.` or `->` before the name keeps declarations and free
   // functions that merely share the name out of scope; matching on the
   // flattened view catches calls split across lines.
@@ -384,8 +385,9 @@ void FileRules::CheckPerRecordInHotPath() {
     sink_.Report(f_.line_of[at], f_.col_of[at], "perrecord-in-hotpath",
                  "per-record adapter call '" + (*it)[2].str() +
                      "()' in a hot-path layer; stream whole SoA RecordBlocks "
-                     "(BlockSource::NextBlock / BlockSink::WriteBlock, "
-                     "trace/block.h) — compatibility shims annotate with "
+                     "(BlockSource::NextBlock, trace/block.h) or push "
+                     "record spans (RecordSink::Write, trace/sink.h) — "
+                     "compatibility shims annotate with "
                      "// atlas-lint: allow(perrecord-in-hotpath)");
   }
 }

@@ -157,9 +157,9 @@ int CmdInfo(const std::string& path, int argc, char** argv) {
   InfoStats stats;
   if (flags.GetBool("stream")) {
     trace::TraceFileReader source(path);
-    for (auto chunk = source.NextChunk(); !chunk.empty();
-         chunk = source.NextChunk()) {
-      for (const auto& r : chunk) stats.Add(r);
+    for (const auto* block = source.NextBlock(); block != nullptr;
+         block = source.NextBlock()) {
+      for (std::size_t i = 0; i < block->size(); ++i) stats.Add(block->Row(i));
     }
   } else {
     const auto trace = trace::ReadAnyBinaryFile(path);
@@ -313,9 +313,9 @@ int CmdConvert(const std::string& in, const std::string& out, int argc,
       return 1;
     }
     trace::TraceWriter writer(sink, block_records);
-    for (auto chunk = source.NextChunk(); !chunk.empty();
-         chunk = source.NextChunk()) {
-      writer.Append(chunk);
+    for (const auto* block = source.NextBlock(); block != nullptr;
+         block = source.NextBlock()) {
+      writer.AppendBlock(*block);
     }
     writer.Finish();
     std::cout << "converted " << writer.written() << " records (v"
@@ -416,6 +416,7 @@ int CmdSimulate(const std::string& out, int argc, char** argv) {
                    "observation-only, the trace stays byte-identical");
   flags.Parse(argc, argv);
   util::SetLogLevel(util::LogLevel::kWarn);
+  util::SetDefaultThreads(static_cast<int>(flags.GetInt("threads")));
   const std::int64_t epoch_min = flags.GetInt("epoch-min");
   if (epoch_min <= 0) {
     std::cerr << "--epoch-min must be > 0\n";
@@ -648,8 +649,9 @@ int CmdAnalyze(const std::string& in, int argc, char** argv) {
                      "the default paper-study sites");
   flags.DefineString("report", "", "write the report here instead of stdout");
   flags.DefineInt("threads", 0,
-                  "worker threads for per-site finalization (0 = hardware "
-                  "concurrency); the report is identical at any value");
+                  "worker threads for finalization and trend clustering "
+                  "(0 = hardware concurrency); the report is identical at "
+                  "any value");
   flags.DefineBool("no-trends", false,
                    "skip trend clustering (Figs. 8-10); it is O(n^2) in "
                    "qualifying objects");
@@ -667,6 +669,7 @@ int CmdAnalyze(const std::string& in, int argc, char** argv) {
                      "and exactly records-consumed records are skipped");
   flags.Parse(argc, argv);
   util::SetLogLevel(util::LogLevel::kWarn);
+  util::SetDefaultThreads(static_cast<int>(flags.GetInt("threads")));
   const std::int64_t every = flags.GetInt("checkpoint-every");
   if (every < 0) {
     std::cerr << "--checkpoint-every must be >= 0\n";
