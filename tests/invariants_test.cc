@@ -2,6 +2,7 @@
 // every site profile and every seed, independent of calibration.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "cdn/simulator.h"
@@ -17,6 +18,10 @@ struct Case {
   synth::SiteProfile (*profile)(double);
   std::uint64_t seed;
 };
+
+// Print a case by name: the default byte dump holds pointers, which would
+// give the discovered test names a new suffix on every build.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
 
 class TraceInvariantsTest : public ::testing::TestWithParam<Case> {
  protected:
@@ -134,8 +139,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{"P1", &synth::SiteProfile::P1, 7},
                       Case{"P2", &synth::SiteProfile::P2, 11},
                       Case{"S1", &synth::SiteProfile::S1, 13},
-                      Case{"N1", &synth::SiteProfile::NonAdult, 17}),
-    [](const auto& info) { return info.param.name; });
+                      Case{"N1", &synth::SiteProfile::NonAdult, 17}));
 
 }  // namespace
 }  // namespace atlas

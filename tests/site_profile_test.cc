@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include "util/rng.h"
 
@@ -68,12 +69,21 @@ TEST(PatternMixTest, SampleRespectsMix) {
   EXPECT_NEAR(diurnal / 10000.0, 0.7, 0.03);
 }
 
-class PaperProfileTest
-    : public ::testing::TestWithParam<SiteProfile (*)(double)> {};
+struct Site {
+  const char* name;
+  SiteProfile (*profile)(double);
+};
+
+// Print a site by name: the default printout of a function pointer is its
+// address, which would give the discovered test names a new suffix on
+// every build.
+void PrintTo(const Site& site, std::ostream* os) { *os << site.name; }
+
+class PaperProfileTest : public ::testing::TestWithParam<Site> {};
 
 TEST_P(PaperProfileTest, ValidatesAtAnyScale) {
   for (double scale : {1.0, 0.1, 0.01, 0.001}) {
-    const SiteProfile p = GetParam()(scale);
+    const SiteProfile p = GetParam().profile(scale);
     EXPECT_NO_THROW(p.Validate()) << p.name << " scale " << scale;
     EXPECT_GE(p.num_objects, 50u);
     EXPECT_GE(p.num_users, 20u);
@@ -82,10 +92,12 @@ TEST_P(PaperProfileTest, ValidatesAtAnyScale) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSites, PaperProfileTest,
-                         ::testing::Values(&SiteProfile::V1, &SiteProfile::V2,
-                                           &SiteProfile::P1, &SiteProfile::P2,
-                                           &SiteProfile::S1,
-                                           &SiteProfile::NonAdult));
+                         ::testing::Values(Site{"V1", &SiteProfile::V1},
+                                           Site{"V2", &SiteProfile::V2},
+                                           Site{"P1", &SiteProfile::P1},
+                                           Site{"P2", &SiteProfile::P2},
+                                           Site{"S1", &SiteProfile::S1},
+                                           Site{"N1", &SiteProfile::NonAdult}));
 
 TEST(SiteProfileTest, PaperCatalogSizes) {
   // Fig. 1's catalog sizes at scale 1.
